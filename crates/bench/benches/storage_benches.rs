@@ -31,7 +31,7 @@ fn fw_row(dc: &str, dev: &str, at: SimTime) -> NetworkState {
 fn write_cmd(i: usize) -> LogCommand {
     LogCommand::WriteBatch {
         pool: Pool::Observed,
-        rows: vec![fw_row("dc1", &format!("dev-{i}"), SimTime::ZERO)],
+        rows: vec![fw_row("dc1", &format!("dev-{i}"), SimTime::ZERO)].into(),
     }
 }
 

@@ -80,12 +80,12 @@ pub struct CoordinatorConfig {
     /// `false` restores the seed's snapshot-per-round behavior (every
     /// stage reads and writes full pools every round).
     pub delta_state_plane: bool,
-    /// Run the columnar state plane: storage pools, checker/updater
-    /// mirrors, and the monitor diff base use dense slot-indexed columns,
-    /// and the checker seeds each pass blast-radius-incrementally from
-    /// the round's deltas. `false` restores hash-map mirrors and a full
-    /// projection + invariant sweep per pass — the reference behavior the
-    /// columnar plane is property-tested bit-equal against.
+    /// Run the columnar state plane: storage pools and checker/updater
+    /// mirrors use dense slot-indexed columns, and the checker seeds each
+    /// pass blast-radius-incrementally from the round's deltas. `false`
+    /// restores hash-map mirrors and a full projection + invariant sweep
+    /// per pass — the reference behavior the columnar plane is
+    /// property-tested bit-equal against.
     pub columnar_state: bool,
     /// How often the monitor rewrites its full view even when nothing
     /// changed (`None` = monitor default). Ignored when
@@ -432,8 +432,7 @@ impl Coordinator {
             checkers.push(c);
         }
 
-        let mut monitor = Monitor::new(net.clone(), storage.clone(), graph.clone())
-            .with_columnar_state(config.columnar_state);
+        let mut monitor = Monitor::new(net.clone(), storage.clone(), graph.clone());
         if let Some(cooldown) = config.quarantine_cooldown {
             monitor = monitor.with_quarantine_cooldown(cooldown);
         }

@@ -85,85 +85,69 @@ impl DeviceProtocol for SnmpSim {
 
     fn collect_device(&self, device: &DeviceName) -> StateResult<Vec<(Attribute, Value)>> {
         let now = self.net.clock().now();
-        let d = self
-            .net
-            .device_snapshot(device)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "snmp-walk".into(),
-            })?;
-        if !d.mgmt_reachable(now) {
-            return Err(StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "snmp-walk".into(),
-            });
-        }
-        Ok(vec![
-            (Attribute::DeviceAdminPower, Value::Power(d.admin_power)),
-            (
-                Attribute::DevicePowerUnitReachable,
-                Value::Bool(d.power_unit_reachable),
-            ),
-            (
-                Attribute::DeviceFirmwareVersion,
-                Value::text(d.observed_firmware()),
-            ),
-            (Attribute::DeviceBootImage, Value::text(&d.boot_image)),
-            (
-                Attribute::DeviceMgmtInterface,
-                Value::Bool(d.mgmt_configured),
-            ),
-            (Attribute::DeviceCpuUtilization, Value::Float(d.cpu_util)),
-            (Attribute::DeviceMemoryUtilization, Value::Float(d.mem_util)),
-        ])
+        let timeout = || StateError::DeviceTimeout {
+            device: device.to_string(),
+            operation: "snmp-walk".into(),
+        };
+        self.net
+            .with_device(device, |d| {
+                if !d.mgmt_reachable(now) {
+                    return Err(timeout());
+                }
+                Ok(vec![
+                    (Attribute::DeviceAdminPower, Value::Power(d.admin_power)),
+                    (
+                        Attribute::DevicePowerUnitReachable,
+                        Value::Bool(d.power_unit_reachable),
+                    ),
+                    (
+                        Attribute::DeviceFirmwareVersion,
+                        Value::text(d.observed_firmware()),
+                    ),
+                    (Attribute::DeviceBootImage, Value::text(&d.boot_image)),
+                    (
+                        Attribute::DeviceMgmtInterface,
+                        Value::Bool(d.mgmt_configured),
+                    ),
+                    (Attribute::DeviceCpuUtilization, Value::Float(d.cpu_util)),
+                    (Attribute::DeviceMemoryUtilization, Value::Float(d.mem_util)),
+                ])
+            })
+            .unwrap_or_else(|| Err(timeout()))
     }
 
     fn collect_link(&self, link: &LinkName) -> StateResult<Vec<(Attribute, Value)>> {
-        let now = self.net.clock().now();
-        let l = self
-            .net
-            .link_snapshot(link)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: link.to_string(),
-                operation: "snmp-walk".into(),
-            })?;
-        // Link counters are reported by whichever endpoint answers.
-        let a_ok = self
-            .net
-            .device_snapshot(&link.a)
-            .map(|d| d.mgmt_reachable(now))
-            .unwrap_or(false);
-        let b_ok = self
-            .net
-            .device_snapshot(&link.b)
-            .map(|d| d.mgmt_reachable(now))
-            .unwrap_or(false);
-        if !a_ok && !b_ok {
-            return Err(StateError::DeviceTimeout {
-                device: link.to_string(),
-                operation: "snmp-walk".into(),
-            });
-        }
-        let oper = self.net.link_oper_up(link);
-        Ok(vec![
-            (Attribute::LinkAdminPower, Value::Power(l.admin_power)),
-            (Attribute::LinkOperStatus, Value::oper(oper)),
-            (Attribute::LinkTrafficLoadAB, Value::Float(l.load_ab_mbps)),
-            (Attribute::LinkTrafficLoadBA, Value::Float(l.load_ba_mbps)),
-            (Attribute::LinkPacketDropRate, Value::Float(l.drop_rate)),
-            (Attribute::LinkFcsErrorRate, Value::Float(l.fcs_error_rate)),
-            (
-                Attribute::LinkIpAssignment,
-                match &l.ip_assignment {
-                    Some(ip) => Value::text(ip),
-                    None => Value::None,
-                },
-            ),
-            (
-                Attribute::LinkControlPlane,
-                Value::ControlPlane(l.control_plane),
-            ),
-        ])
+        let timeout = || StateError::DeviceTimeout {
+            device: link.to_string(),
+            operation: "snmp-walk".into(),
+        };
+        self.net
+            .with_link(link, |l, reach| {
+                // Link counters are reported by whichever endpoint answers.
+                if !reach.a_mgmt && !reach.b_mgmt {
+                    return Err(timeout());
+                }
+                Ok(vec![
+                    (Attribute::LinkAdminPower, Value::Power(l.admin_power)),
+                    (Attribute::LinkOperStatus, Value::oper(reach.oper_up)),
+                    (Attribute::LinkTrafficLoadAB, Value::Float(l.load_ab_mbps)),
+                    (Attribute::LinkTrafficLoadBA, Value::Float(l.load_ba_mbps)),
+                    (Attribute::LinkPacketDropRate, Value::Float(l.drop_rate)),
+                    (Attribute::LinkFcsErrorRate, Value::Float(l.fcs_error_rate)),
+                    (
+                        Attribute::LinkIpAssignment,
+                        match &l.ip_assignment {
+                            Some(ip) => Value::text(ip),
+                            None => Value::None,
+                        },
+                    ),
+                    (
+                        Attribute::LinkControlPlane,
+                        Value::ControlPlane(l.control_plane),
+                    ),
+                ])
+            })
+            .unwrap_or_else(|| Err(timeout()))
     }
 
     fn execute(&self, _device: &DeviceName, command: DeviceCommand) -> StateResult<CommandOutcome> {
@@ -186,21 +170,29 @@ impl OpenFlowSim {
         OpenFlowSim { net }
     }
 
-    fn require_openflow(&self, device: &DeviceName) -> StateResult<crate::device::SimDevice> {
-        let d = self
-            .net
-            .device_snapshot(device)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "of-echo".into(),
-            })?;
-        if d.model != DeviceModel::OpenFlowSwitch {
-            return Err(StateError::invalid(format!(
-                "{device} is model {} — not OpenFlow-capable",
-                d.model
-            )));
-        }
-        Ok(d)
+    /// Run `f` over an OpenFlow-capable device's state, borrowed in
+    /// place; a missing device times out, a non-OpenFlow model is refused.
+    fn with_openflow<R>(
+        &self,
+        device: &DeviceName,
+        f: impl FnOnce(&crate::device::SimDevice) -> StateResult<R>,
+    ) -> StateResult<R> {
+        self.net
+            .with_device(device, |d| {
+                if d.model != DeviceModel::OpenFlowSwitch {
+                    return Err(StateError::invalid(format!(
+                        "{device} is model {} — not OpenFlow-capable",
+                        d.model
+                    )));
+                }
+                f(d)
+            })
+            .unwrap_or_else(|| {
+                Err(StateError::DeviceTimeout {
+                    device: device.to_string(),
+                    operation: "of-echo".into(),
+                })
+            })
     }
 }
 
@@ -211,33 +203,34 @@ impl DeviceProtocol for OpenFlowSim {
 
     fn collect_device(&self, device: &DeviceName) -> StateResult<Vec<(Attribute, Value)>> {
         let now = self.net.clock().now();
-        let d = self.require_openflow(device)?;
-        if !d.mgmt_reachable(now) {
-            return Err(StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "of-echo".into(),
-            });
-        }
-        Ok(vec![
-            (
-                Attribute::DeviceOpenFlowAgent,
-                Value::Bool(d.of_agent_running),
-            ),
-            (
-                Attribute::DeviceRoutingRules,
-                Value::Routes(d.routing_rules.clone()),
-            ),
-            (
-                Attribute::DeviceLinkWeights,
-                Value::Routes(
-                    // Represent weights as pseudo-rules for wire uniformity.
-                    d.link_weights
-                        .iter()
-                        .map(|(l, w)| statesman_types::FlowLinkRule::new("*", l.clone(), *w))
-                        .collect(),
+        self.with_openflow(device, |d| {
+            if !d.mgmt_reachable(now) {
+                return Err(StateError::DeviceTimeout {
+                    device: device.to_string(),
+                    operation: "of-echo".into(),
+                });
+            }
+            Ok(vec![
+                (
+                    Attribute::DeviceOpenFlowAgent,
+                    Value::Bool(d.of_agent_running),
                 ),
-            ),
-        ])
+                (
+                    Attribute::DeviceRoutingRules,
+                    Value::Routes(d.routing_rules.clone()),
+                ),
+                (
+                    Attribute::DeviceLinkWeights,
+                    Value::Routes(
+                        // Represent weights as pseudo-rules for wire uniformity.
+                        d.link_weights
+                            .iter()
+                            .map(|(l, w)| statesman_types::FlowLinkRule::new("*", l.clone(), *w))
+                            .collect(),
+                    ),
+                ),
+            ])
+        })
     }
 
     fn collect_link(&self, _link: &LinkName) -> StateResult<Vec<(Attribute, Value)>> {
@@ -252,7 +245,7 @@ impl DeviceProtocol for OpenFlowSim {
                 command.verb()
             )));
         }
-        self.require_openflow(device)?;
+        self.with_openflow(device, |_| Ok(()))?;
         Ok(self.net.submit(device, command))
     }
 }
@@ -279,31 +272,29 @@ impl DeviceProtocol for VendorCliSim {
 
     fn collect_device(&self, device: &DeviceName) -> StateResult<Vec<(Attribute, Value)>> {
         let now = self.net.clock().now();
-        let d = self
-            .net
-            .device_snapshot(device)
-            .ok_or_else(|| StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "cli-show".into(),
-            })?;
-        if !d.mgmt_reachable(now) {
-            return Err(StateError::DeviceTimeout {
-                device: device.to_string(),
-                operation: "cli-show".into(),
-            });
-        }
-        let mut rows = vec![(
-            Attribute::DeviceMgmtInterface,
-            Value::Bool(d.mgmt_configured),
-        )];
-        if d.model == DeviceModel::BgpRouter {
-            // BGP routers expose their RIB through the CLI.
-            rows.push((
-                Attribute::DeviceRoutingRules,
-                Value::Routes(d.routing_rules.clone()),
-            ));
-        }
-        Ok(rows)
+        let timeout = || StateError::DeviceTimeout {
+            device: device.to_string(),
+            operation: "cli-show".into(),
+        };
+        self.net
+            .with_device(device, |d| {
+                if !d.mgmt_reachable(now) {
+                    return Err(timeout());
+                }
+                let mut rows = vec![(
+                    Attribute::DeviceMgmtInterface,
+                    Value::Bool(d.mgmt_configured),
+                )];
+                if d.model == DeviceModel::BgpRouter {
+                    // BGP routers expose their RIB through the CLI.
+                    rows.push((
+                        Attribute::DeviceRoutingRules,
+                        Value::Routes(d.routing_rules.clone()),
+                    ));
+                }
+                Ok(rows)
+            })
+            .unwrap_or_else(|| Err(timeout()))
     }
 
     fn collect_link(&self, _link: &LinkName) -> StateResult<Vec<(Attribute, Value)>> {
@@ -312,17 +303,15 @@ impl DeviceProtocol for VendorCliSim {
 
     fn execute(&self, device: &DeviceName, command: DeviceCommand) -> StateResult<CommandOutcome> {
         if command.is_routing() {
-            let d = self
-                .net
-                .device_snapshot(device)
-                .ok_or_else(|| StateError::DeviceTimeout {
+            let model = self.net.with_device(device, |d| d.model).ok_or_else(|| {
+                StateError::DeviceTimeout {
                     device: device.to_string(),
                     operation: "cli-exec".into(),
-                })?;
-            if d.model != DeviceModel::BgpRouter {
+                }
+            })?;
+            if model != DeviceModel::BgpRouter {
                 return Err(StateError::invalid(format!(
-                    "{device} is model {} — routing goes through OpenFlow",
-                    d.model
+                    "{device} is model {model} — routing goes through OpenFlow"
                 )));
             }
         }

@@ -141,6 +141,18 @@ impl SimState {
     }
 }
 
+/// What a link poll learns about a link's endpoints, read under the same
+/// lock as the link itself ([`SimNetwork::with_link`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LinkReach {
+    /// Whether endpoint A's management plane answers.
+    pub(crate) a_mgmt: bool,
+    /// Whether endpoint B's management plane answers.
+    pub(crate) b_mgmt: bool,
+    /// Whether the link is oper-up (including endpoint health).
+    pub(crate) oper_up: bool,
+}
+
 /// Cloneable handle to the simulated network.
 #[derive(Clone)]
 pub struct SimNetwork {
@@ -394,6 +406,38 @@ impl SimNetwork {
     /// Snapshot one link's state.
     pub fn link_snapshot(&self, name: &LinkName) -> Option<SimLink> {
         self.state.lock().links.get(name).cloned()
+    }
+
+    /// Read one device in place: `f` borrows its state under the
+    /// simulator lock, so pollers copy out only the fields they report
+    /// instead of cloning the whole device (routing table included).
+    pub fn with_device<R>(&self, name: &DeviceName, f: impl FnOnce(&SimDevice) -> R) -> Option<R> {
+        self.state.lock().devices.get(name).map(f)
+    }
+
+    /// Read one link in place together with what a link poll needs from
+    /// its endpoints, all under one lock: whether each endpoint's
+    /// management plane answers, and whether the link is oper-up.
+    pub(crate) fn with_link<R>(
+        &self,
+        name: &LinkName,
+        f: impl FnOnce(&SimLink, LinkReach) -> R,
+    ) -> Option<R> {
+        let now = self.clock.now();
+        let s = self.state.lock();
+        let link = s.links.get(name)?;
+        let mgmt = |d: &DeviceName| {
+            s.devices
+                .get(d)
+                .map(|d| d.mgmt_reachable(now))
+                .unwrap_or(false)
+        };
+        let reach = LinkReach {
+            a_mgmt: mgmt(&name.a),
+            b_mgmt: mgmt(&name.b),
+            oper_up: link_oper_up_inner(&s, name, now),
+        };
+        Some(f(link, reach))
     }
 
     /// All device names, sorted (stable iteration for the monitor).

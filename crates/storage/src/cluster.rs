@@ -498,7 +498,7 @@ mod tests {
     fn wb(dev: &str, v: &str) -> LogCommand {
         LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row(dev, v)],
+            rows: vec![row(dev, v)].into(),
         }
     }
 

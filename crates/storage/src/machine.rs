@@ -37,8 +37,11 @@ pub enum LogCommand {
     WriteBatch {
         /// Destination pool.
         pool: Pool,
-        /// The rows to upsert.
-        rows: Vec<NetworkState>,
+        /// The rows to upsert. Shared for the same reason as
+        /// [`LogCommand::BulkBatch`]'s: every replica's accepted and
+        /// chosen logs, the WAL records and the bus messages hold a copy
+        /// of the command, and the retained log tail spans many rounds.
+        rows: std::sync::Arc<Vec<NetworkState>>,
     },
     /// Delete a batch of keys from one pool (e.g. clearing an application's
     /// PS after the checker consumed it).
@@ -644,11 +647,11 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1"), row("b", "1")],
+            rows: vec![row("a", "1"), row("b", "1")].into(),
         });
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "2")],
+            rows: vec![row("a", "2")].into(),
         });
         let a = m.get(&Pool::Observed, &row("a", "").key()).unwrap();
         let b = m.get(&Pool::Observed, &row("b", "").key()).unwrap();
@@ -663,11 +666,11 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Target,
-            rows: vec![row("a", "9")],
+            rows: vec![row("a", "9")].into(),
         });
         assert_eq!(
             m.get(&Pool::Observed, &row("a", "").key()).unwrap().value,
@@ -685,7 +688,7 @@ mod tests {
         let app = AppId::new("te");
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Proposed(app.clone()),
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         let removed = m.apply(&LogCommand::DeleteBatch {
             pool: Pool::Proposed(app.clone()),
@@ -727,7 +730,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("agg-1-1", "1"), row("tor-1-1", "1")],
+            rows: vec![row("agg-1-1", "1"), row("tor-1-1", "1")].into(),
         });
         let aggs = m.pool_rows_where(&Pool::Observed, |r| {
             r.entity
@@ -743,7 +746,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         let before = m.get(&Pool::Observed, &row("a", "").key()).unwrap().clone();
         // Same value+writer, later timestamp: suppressed entirely.
@@ -751,7 +754,7 @@ mod tests {
         later.updated_at = SimTime::from_secs(300);
         let touched = m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![later],
+            rows: vec![later].into(),
         });
         assert_eq!(touched, 0);
         assert_eq!(m.suppressed_count(), 1);
@@ -764,7 +767,7 @@ mod tests {
         // A real change still lands and moves the watermark.
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "2")],
+            rows: vec![row("a", "2")].into(),
         });
         assert_eq!(m.pool_watermark(&Pool::Observed), Version(2));
     }
@@ -774,7 +777,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1"), row("b", "1")],
+            rows: vec![row("a", "1"), row("b", "1")].into(),
         });
         let w0 = m.pool_watermark(&Pool::Observed);
         assert_eq!(w0, Version(2));
@@ -782,11 +785,11 @@ mod tests {
         // disposition of each key.
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "2")],
+            rows: vec![row("a", "2")].into(),
         });
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "3")],
+            rows: vec![row("a", "3")].into(),
         });
         m.apply(&LogCommand::DeleteBatch {
             pool: Pool::Observed,
@@ -815,7 +818,7 @@ mod tests {
             .collect();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows,
+            rows: rows.into(),
         });
         // The oldest 10 entries were compacted away: genesis reads fall
         // back, reads above the floor still work.
@@ -852,7 +855,7 @@ mod tests {
         // Subsequent incremental writes are served normally.
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("bulk0", "2")],
+            rows: vec![row("bulk0", "2")].into(),
         });
         let d = m.changes_since(&Pool::Observed, Version(100)).unwrap();
         assert_eq!(d.upserts.len(), 1);
@@ -864,7 +867,7 @@ mod tests {
         let mut m = StateMachine::new();
         m.apply(&LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![row("a", "1")],
+            rows: vec![row("a", "1")].into(),
         });
         let touched = m.apply(&LogCommand::BulkBatch {
             pool: Pool::Observed,
@@ -901,7 +904,7 @@ mod tests {
         assert_eq!(
             LogCommand::WriteBatch {
                 pool: Pool::Observed,
-                rows: vec![row("a", "1"), row("b", "1")]
+                rows: vec![row("a", "1"), row("b", "1")].into()
             }
             .weight(),
             2

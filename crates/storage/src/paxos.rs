@@ -703,7 +703,7 @@ mod tests {
     fn write(n: u64) -> LogCommand {
         LogCommand::WriteBatch {
             pool: Pool::Observed,
-            rows: vec![],
+            rows: vec![].into(),
         }
         .tagged(n)
     }

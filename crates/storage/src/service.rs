@@ -608,7 +608,11 @@ impl StorageService {
         let part = self.parts.get(dc).expect("routability validated");
         let mut ring = self.lock_ring(dc, part);
         let before = leader_suppressed(&mut ring);
-        self.submit_with_retry(part, &mut ring, dc, LogCommand::WriteBatch { pool, rows })?;
+        let cmd = LogCommand::WriteBatch {
+            pool,
+            rows: rows.into(),
+        };
+        self.submit_with_retry(part, &mut ring, dc, cmd)?;
         let suppressed = leader_suppressed(&mut ring).saturating_sub(before);
         if suppressed > 0 {
             part.writes_suppressed

@@ -105,7 +105,8 @@ fn wb(dev: &str, v: &str) -> LogCommand {
             Value::text(v),
             SimTime::ZERO,
             AppId::monitor(),
-        )],
+        )]
+        .into(),
     }
 }
 

@@ -211,7 +211,7 @@ proptest! {
                     Value::text("x"),
                     statesman_types::SimTime::ZERO,
                     AppId::monitor(),
-                )],
+                )].into(),
             };
             ring.submit(cmd).unwrap();
         }
