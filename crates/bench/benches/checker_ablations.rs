@@ -14,7 +14,7 @@ use statesman_core::{
 };
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_storage::{StorageConfig, StorageService};
-use statesman_topology::{capacity, DcnSpec, DeploymentSpec, HealthView, WanSpec};
+use statesman_topology::{capacity, DcnSpec, DeploymentSpec, FlowIndex, HealthView, WanSpec};
 use statesman_types::{Attribute, DatacenterId, DeviceName, EntityName, Value};
 use std::collections::HashSet;
 
@@ -132,35 +132,47 @@ fn bench_invariant_incremental(c: &mut Criterion) {
     let graph = DcnSpec::fig7("dc1").build();
     let dc = DatacenterId::new("dc1");
     let pairs = capacity::select_tor_pairs(&graph, &dc, Some(1));
-    let baselines = capacity::baselines_for(&graph, &pairs);
+    let index = FlowIndex::new(&graph);
+    let baselines = capacity::baselines_for(&index, &pairs);
 
     let mut health = HealthView::all_up();
     health.set_device_down(DeviceName::new("agg-3-1"));
 
     group.bench_function("full_evaluation", |b| {
         b.iter(|| {
-            let r = capacity::evaluate_with_baselines(&graph, &health, &pairs, &baselines);
+            let r = capacity::evaluate_with_baselines(&graph, &index, &health, &pairs, &baselines);
             assert_eq!(r.pairs.len(), 90);
         });
     });
 
     group.bench_function("incremental_pod_scoped", |b| {
-        let base =
-            capacity::evaluate_with_baselines(&graph, &HealthView::all_up(), &pairs, &baselines);
+        let base = capacity::evaluate_with_baselines(
+            &graph,
+            &index,
+            &HealthView::all_up(),
+            &pairs,
+            &baselines,
+        );
         let mut touched = HashSet::new();
         touched.insert((dc.clone(), 3u32));
         b.iter(|| {
-            let r = base.evaluate_incremental(&graph, &health, &touched);
+            let r = base.evaluate_incremental(&graph, &index, &health, &touched);
             assert_eq!(r.pairs.len(), 90);
         });
     });
 
     // Cross-check correctness once: incremental == full.
-    let base = capacity::evaluate_with_baselines(&graph, &HealthView::all_up(), &pairs, &baselines);
+    let base = capacity::evaluate_with_baselines(
+        &graph,
+        &index,
+        &HealthView::all_up(),
+        &pairs,
+        &baselines,
+    );
     let mut touched = HashSet::new();
     touched.insert((dc.clone(), 3u32));
-    let inc = base.evaluate_incremental(&graph, &health, &touched);
-    let full = capacity::evaluate_with_baselines(&graph, &health, &pairs, &baselines);
+    let inc = base.evaluate_incremental(&graph, &index, &health, &touched);
+    let full = capacity::evaluate_with_baselines(&graph, &index, &health, &pairs, &baselines);
     for (a, b) in inc.pairs.iter().zip(full.pairs.iter()) {
         assert!((a.current_mbps - b.current_mbps).abs() < 1.0);
     }

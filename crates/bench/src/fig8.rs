@@ -25,7 +25,7 @@ use statesman_apps::{
 use statesman_core::{Coordinator, CoordinatorConfig, StatesmanClient};
 use statesman_net::{SimClock, SimConfig, SimNetwork};
 use statesman_storage::{StorageConfig, StorageService};
-use statesman_topology::{capacity, DcnSpec, HealthView, NetworkGraph, NodeId};
+use statesman_topology::{capacity, DcnSpec, FlowIndex, HealthView, NetworkGraph, NodeId};
 use statesman_types::{DatacenterId, SimDuration, SimTime};
 
 /// Scenario knobs.
@@ -135,6 +135,7 @@ pub struct Fig8Scenario {
     coordinator: Coordinator,
     upgrade: SwitchUpgradeApp,
     mitigation: FailureMitigationApp,
+    index: FlowIndex,
     pairs: Vec<(NodeId, NodeId)>,
     baselines: Vec<f64>,
 }
@@ -191,7 +192,8 @@ impl Fig8Scenario {
         );
 
         let pairs = capacity::select_tor_pairs(&graph, &dc, Some(1));
-        let baselines = capacity::baselines_for(&graph, &pairs);
+        let index = FlowIndex::new(&graph);
+        let baselines = capacity::baselines_for(&index, &pairs);
         Fig8Scenario {
             config,
             graph,
@@ -200,6 +202,7 @@ impl Fig8Scenario {
             upgrade,
             mitigation,
             pairs,
+            index,
             baselines,
         }
     }
@@ -299,6 +302,7 @@ impl Fig8Scenario {
             let health = self.ground_truth_health();
             let report = capacity::evaluate_with_baselines(
                 &self.graph,
+                &self.index,
                 &health,
                 &self.pairs,
                 &self.baselines,

@@ -38,7 +38,7 @@ use statesman_types::{
     AppId, DatacenterId, DependencyLevel, DeviceName, Freshness, NetworkState, Pool, SimTime,
     StateKey, StateResult, Value, VarId, Version, WriteOutcome, WriteReceipt,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 /// How same-key conflicts between applications are resolved (§4.2: "one
@@ -455,49 +455,6 @@ impl Checker {
         apps.sort();
         apps.dedup();
         apps
-    }
-
-    /// Pods touched by a set of entities (for incremental invariant
-    /// evaluation).
-    /// Returns `None` when any touched device is pod-less (core/border)
-    /// or unknown — such changes can have fabric-wide blast radius, so
-    /// invariants must evaluate fully.
-    fn touched_pods(&self, entities: &[&NetworkState]) -> Option<HashSet<(DatacenterId, u32)>> {
-        let mut pods = HashSet::new();
-        let mut global = false;
-        let mut add_device = |name: &statesman_types::DeviceName| match self.graph.node_id(name) {
-            Some(id) => {
-                let info = self.graph.node(id);
-                match info.pod {
-                    Some(pod) => {
-                        pods.insert((info.datacenter.clone(), pod));
-                    }
-                    None => global = true,
-                }
-            }
-            None => global = true,
-        };
-        for row in entities {
-            match &row.entity.body {
-                statesman_types::entity::EntityBody::Device(d) => add_device(d),
-                statesman_types::entity::EntityBody::Link(l) => {
-                    add_device(&l.a);
-                    add_device(&l.b);
-                }
-                statesman_types::entity::EntityBody::Path(_) => {
-                    if let Some(list) = row.value.as_device_list() {
-                        for d in list {
-                            add_device(d);
-                        }
-                    }
-                }
-            }
-        }
-        if global {
-            None
-        } else {
-            Some(pods)
-        }
     }
 
     /// Run one checker pass against the storage service.
@@ -961,8 +918,11 @@ impl Checker {
                 (None, None)
             } else {
                 let candidate = MapView::from_rows(survivors.iter().cloned());
-                let refs: Vec<&NetworkState> = survivors.iter().collect();
-                let touched = self.touched_pods(&refs);
+                let touched = blast_radius(
+                    &self.graph,
+                    survivors.iter().map(|r| (&r.entity, Some(&r.value))),
+                )
+                .pods;
                 // Update the working projection for just the touched
                 // entities (reversible if the candidate is rejected).
                 let delta = {

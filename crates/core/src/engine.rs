@@ -91,47 +91,6 @@ impl WorkerPool {
         tagged.sort_by_key(|(i, _)| *i);
         tagged.into_iter().map(|(_, r)| r).collect()
     }
-
-    /// Like `run`, but each worker processes one *contiguous* chunk of
-    /// `items` and `f` receives the whole chunk plus its starting
-    /// offset. Use when per-item dispatch is too fine-grained; the
-    /// chunk boundaries depend only on `items.len()` and the thread
-    /// count, never on timing.
-    pub fn run_chunked<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        let workers = self.threads.min(items.len()).max(1);
-        if workers <= 1 {
-            if items.is_empty() {
-                return Vec::new();
-            }
-            return vec![f(0, items)];
-        }
-        let chunk = items.len().div_ceil(workers);
-        let chunks: Vec<(usize, &[T])> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, c)| (ci * chunk, c))
-            .collect();
-        let mut tagged: Vec<(usize, R)> = Vec::with_capacity(chunks.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(chunks.len());
-            for (ci, (off, c)) in chunks.iter().enumerate() {
-                let f = &f;
-                let off = *off;
-                let c = *c;
-                handles.push(scope.spawn(move || (ci, f(off, c))));
-            }
-            for h in handles {
-                tagged.push(h.join().expect("worker panicked"));
-            }
-        });
-        tagged.sort_by_key(|(i, _)| *i);
-        tagged.into_iter().map(|(_, r)| r).collect()
-    }
 }
 
 /// Evaluate a list of invariants against one context and return the
@@ -215,32 +174,10 @@ mod tests {
     }
 
     #[test]
-    fn run_chunked_covers_all_items_in_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        for threads in [1, 2, 7, 16] {
-            let pool = WorkerPool::new(threads);
-            let parts = pool.run_chunked(&items, |off, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| (off + i, *x))
-                    .collect::<Vec<_>>()
-            });
-            let flat: Vec<(usize, usize)> = parts.into_iter().flatten().collect();
-            assert_eq!(flat.len(), items.len());
-            for (pos, (off, val)) in flat.iter().enumerate() {
-                assert_eq!(pos, *off, "threads={threads}");
-                assert_eq!(pos, *val, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_inputs() {
         let pool = WorkerPool::new(8);
         let empty: Vec<u8> = vec![];
         assert!(pool.run(&empty, |_, x| *x).is_empty());
-        assert!(pool.run_chunked(&empty, |_, c: &[u8]| c.len()).is_empty());
         assert_eq!(pool.run(&[42u8], |_, x| *x), vec![42]);
     }
 }

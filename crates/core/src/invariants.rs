@@ -20,7 +20,9 @@
 //! * [`WanLinkInvariant`] — every datacenter pair keeps at least one
 //!   usable WAN link (the Fig-9/Fig-10 safety floor).
 
-use statesman_topology::{capacity, graph::components, HealthView, NetworkGraph, NodeId};
+use statesman_topology::{
+    capacity, graph::components, FlowIndex, HealthView, NetworkGraph, NodeId,
+};
 use statesman_types::{DatacenterId, DeviceRole};
 use std::collections::HashSet;
 
@@ -179,6 +181,9 @@ fn reaches_core(graph: &NetworkGraph, health: &HealthView, start: NodeId) -> boo
 }
 
 /// The §7.2 capacity invariant over sampled directional ToR pairs.
+///
+/// Pair flows are solved through a [`FlowIndex`] built at construction,
+/// so the invariant must be checked against the graph it was built from.
 pub struct TorPairCapacityInvariant {
     /// The datacenter this instance guards.
     pub datacenter: DatacenterId,
@@ -186,6 +191,7 @@ pub struct TorPairCapacityInvariant {
     pub capacity_threshold: f64,
     /// Minimum fraction of pairs that must meet the threshold (0.99).
     pub pair_fraction: f64,
+    index: FlowIndex,
     pairs: Vec<(NodeId, NodeId)>,
     baselines: Vec<f64>,
     /// Last full evaluation, reused for incremental updates.
@@ -222,15 +228,7 @@ impl TorPairCapacityInvariant {
             max_pairs,
             seed,
         );
-        let baselines = capacity::baselines_for(graph, &pairs);
-        TorPairCapacityInvariant {
-            datacenter,
-            capacity_threshold,
-            pair_fraction,
-            pairs,
-            baselines,
-            last_report: parking_lot::Mutex::new(None),
-        }
+        Self::with_pairs(graph, datacenter, capacity_threshold, pair_fraction, pairs)
     }
 
     /// Fully parameterized constructor. Baselines are computed once at
@@ -244,11 +242,23 @@ impl TorPairCapacityInvariant {
     ) -> Self {
         let datacenter = datacenter.into();
         let pairs = capacity::select_tor_pairs(graph, &datacenter, sample_tors_per_pod);
-        let baselines = capacity::baselines_for(graph, &pairs);
+        Self::with_pairs(graph, datacenter, capacity_threshold, pair_fraction, pairs)
+    }
+
+    fn with_pairs(
+        graph: &NetworkGraph,
+        datacenter: DatacenterId,
+        capacity_threshold: f64,
+        pair_fraction: f64,
+        pairs: Vec<(NodeId, NodeId)>,
+    ) -> Self {
+        let index = FlowIndex::new(graph);
+        let baselines = capacity::baselines_for(&index, &pairs);
         TorPairCapacityInvariant {
             datacenter,
             capacity_threshold,
             pair_fraction,
+            index,
             pairs,
             baselines,
             last_report: parking_lot::Mutex::new(None),
@@ -286,10 +296,11 @@ impl Invariant for TorPairCapacityInvariant {
         let mut cache = self.last_report.lock();
         let report = match (&*cache, ctx.touched_pods) {
             (Some(prev), Some(touched)) => {
-                prev.evaluate_incremental(ctx.graph, ctx.projected, touched)
+                prev.evaluate_incremental(ctx.graph, &self.index, ctx.projected, touched)
             }
             _ => capacity::evaluate_with_baselines(
                 ctx.graph,
+                &self.index,
                 ctx.projected,
                 &self.pairs,
                 &self.baselines,

@@ -62,7 +62,7 @@ enum ViewRepr {
 }
 
 /// A materialized snapshot of one pool. See the representation notes on
-/// [`ViewRepr`]: hash-backed by default, columnar (slot-indexed) when
+/// `ViewRepr`: hash-backed by default, columnar (slot-indexed) when
 /// built with [`MapView::columnar`].
 #[derive(Debug, Clone)]
 pub struct MapView {

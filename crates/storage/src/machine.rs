@@ -500,9 +500,10 @@ impl StateMachine {
     /// A canonical, serializable image of this machine for durable
     /// snapshots and recovery-equivalence checks. Hash-map contents are
     /// emitted in a deterministic order (pools by wire name, rows by key,
-    /// receipts by application id) and interned [`VarId`]s are resolved
-    /// back to string keys, so two machines with identical logical
-    /// contents produce bit-identical snapshots — including across
+    /// receipts by application id) and interned
+    /// [`VarId`](statesman_types::VarId)s are resolved back to string
+    /// keys, so two machines with identical logical contents produce
+    /// bit-identical snapshots — including across
     /// processes with differently populated interners.
     pub fn to_snapshot(&self) -> MachineSnapshot {
         let mut pools: Vec<(Pool, Vec<NetworkState>)> = self
@@ -554,7 +555,7 @@ impl StateMachine {
     }
 
     /// Rebuild a machine from a [`MachineSnapshot`] (the recovery path).
-    /// String keys are re-interned into [`VarId`]s on load.
+    /// String keys are re-interned into [`VarId`](statesman_types::VarId)s on load.
     pub fn from_snapshot(snap: &MachineSnapshot) -> StateMachine {
         let pools = snap
             .pools

@@ -13,8 +13,11 @@
 //! re-evaluation. [`CapacityReport::evaluate_incremental`] implements that
 //! optimization and is benchmarked against the full evaluation in the
 //! `invariant_incremental` ablation.
+//!
+//! Every evaluation solves pairs through one [`FlowIndex`] built from the
+//! graph, over a dense [`HealthSnapshot`] taken once per evaluation.
 
-use crate::flow::{max_flow, max_flow_scoped};
+use crate::flow::{FlowIndex, HealthSnapshot};
 use crate::graph::{HealthView, NetworkGraph, NodeId};
 use statesman_types::{DatacenterId, DeviceRole};
 use std::collections::HashSet;
@@ -139,106 +142,64 @@ pub fn downsample_pairs(
 
 /// Evaluate baseline and current capacity for the given pairs.
 ///
-/// Baselines are computed against an all-up view; callers that evaluate
-/// repeatedly should compute baselines once via [`baselines_for`] and use
-/// [`evaluate_with_baselines`].
+/// Builds a [`FlowIndex`] and the baselines on every call; callers that
+/// evaluate repeatedly should build the index once, compute baselines
+/// once via [`baselines_for`], and use [`evaluate_with_baselines`].
 pub fn evaluate(
     graph: &NetworkGraph,
     health: &HealthView,
     pairs: &[(NodeId, NodeId)],
 ) -> CapacityReport {
-    let base = baselines_for(graph, pairs);
-    evaluate_with_baselines(graph, health, pairs, &base)
+    let index = FlowIndex::new(graph);
+    let base = baselines_for(&index, pairs);
+    evaluate_with_baselines(graph, &index, health, pairs, &base)
 }
 
 /// Baseline (all-up) max-flow per pair. Pairs solve independently, so
-/// the panel fans out across the worker pool; `pair_flow` is pure and
-/// results merge in pair order, so the output is thread-count invariant.
-pub fn baselines_for(graph: &NetworkGraph, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-    let all_up = HealthView::all_up();
-    let layered = is_pod_layered(graph);
+/// a large panel fans out across the worker pool; [`FlowIndex::pair_flow`]
+/// is pure and results merge in pair order, so the output is thread-count
+/// invariant.
+pub fn baselines_for(index: &FlowIndex, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
+    let all_up = index.all_up();
     crate::par::ordered_map(crate::par::worker_threads(), pairs, |&(s, t)| {
-        pair_flow(graph, &all_up, s, t, layered)
+        index.pair_flow(&all_up, s, t)
     })
 }
 
-/// Whether every edge either stays within one pod or touches a pod-less
-/// node (core/border tier). On such fabrics, all paths between two ToRs
-/// lie inside their two pods plus the pod-less tiers, so per-pair
-/// max-flow can be solved on that subgraph alone.
-pub fn is_pod_layered(graph: &NetworkGraph) -> bool {
-    graph.edges().all(|(_, e)| {
-        let a = graph.node(e.a);
-        let b = graph.node(e.b);
-        match (a.pod, b.pod) {
-            (Some(pa), Some(pb)) => pa == pb && a.datacenter == b.datacenter,
-            _ => true,
-        }
-    })
-}
-
-/// Solve one pair, scoping the flow network to the endpoints' pods plus
-/// pod-less tiers when the fabric is layered.
-fn pair_flow(
-    graph: &NetworkGraph,
-    health: &HealthView,
-    s: NodeId,
-    t: NodeId,
-    layered: bool,
-) -> f64 {
-    let (sp, tp) = (graph.node(s).pod, graph.node(t).pod);
-    match (layered, sp, tp) {
-        (true, Some(sp), Some(tp)) => {
-            let (sdc, tdc) = (
-                graph.node(s).datacenter.clone(),
-                graph.node(t).datacenter.clone(),
-            );
-            max_flow_scoped(graph, health, s, t, |n| {
-                let info = graph.node(n);
-                match info.pod {
-                    None => true,
-                    Some(p) => {
-                        (p == sp && info.datacenter == sdc) || (p == tp && info.datacenter == tdc)
-                    }
-                }
-            })
-        }
-        _ => max_flow(graph, health, s, t),
-    }
-}
-
-/// Evaluate current capacity given precomputed baselines.
+/// Evaluate current capacity given precomputed baselines. `index` must
+/// be built from `graph`.
 pub fn evaluate_with_baselines(
     graph: &NetworkGraph,
+    index: &FlowIndex,
     health: &HealthView,
     pairs: &[(NodeId, NodeId)],
     baselines: &[f64],
 ) -> CapacityReport {
     assert_eq!(pairs.len(), baselines.len());
-    let layered = is_pod_layered(graph);
-    // Each (pair, pod-scope) max-flow is independent of every other;
-    // fan the panel out and merge in pair order (bit-identical to the
-    // serial sweep for any worker count).
-    let indexed: Vec<(NodeId, NodeId, f64)> = pairs
+    let health = HealthSnapshot::new(graph, health);
+    let current = crate::par::ordered_map(crate::par::worker_threads(), pairs, |&(s, t)| {
+        index.pair_flow(&health, s, t)
+    });
+    let pairs = pairs
         .iter()
         .zip(baselines)
-        .map(|(&(s, t), &b)| (s, t, b))
+        .zip(current)
+        .map(
+            |((&(src, dst), &baseline_mbps), current_mbps)| TorPairCapacity {
+                src,
+                dst,
+                baseline_mbps,
+                current_mbps,
+            },
+        )
         .collect();
-    let pairs = crate::par::ordered_map(crate::par::worker_threads(), &indexed, |&(s, t, b)| {
-        TorPairCapacity {
-            src: s,
-            dst: t,
-            baseline_mbps: b,
-            current_mbps: pair_flow(graph, health, s, t, layered),
-        }
-    });
     CapacityReport { pairs }
 }
 
 impl CapacityReport {
     /// Incrementally refresh a previous report: only pairs with an
     /// endpoint in one of `touched_pods` are re-solved; the rest keep
-    /// their previous `current_mbps`.
+    /// their previous `current_mbps`. `index` must be built from `graph`.
     ///
     /// Sound when the fabric's core tier is not the bottleneck for
     /// untouched pairs — true of the Fig-7 fabric (Agg↔Core capacity
@@ -248,26 +209,27 @@ impl CapacityReport {
     pub fn evaluate_incremental(
         &self,
         graph: &NetworkGraph,
+        index: &FlowIndex,
         health: &HealthView,
         touched_pods: &HashSet<(DatacenterId, u32)>,
     ) -> CapacityReport {
-        let layered = is_pod_layered(graph);
-        let pairs = crate::par::ordered_map(crate::par::worker_threads(), &self.pairs, |p| {
-            let touched = [p.src, p.dst].iter().any(|&n| {
-                let info = graph.node(n);
-                info.pod
-                    .map(|pod| touched_pods.contains(&(info.datacenter.clone(), pod)))
-                    .unwrap_or(false)
+        let mask = index.pod_mask(touched_pods);
+        let touched: Vec<usize> = (0..self.pairs.len())
+            .filter(|&i| {
+                let p = &self.pairs[i];
+                index.in_pods(p.src, &mask) || index.in_pods(p.dst, &mask)
+            })
+            .collect();
+        let mut pairs = self.pairs.clone();
+        if !touched.is_empty() {
+            let health = HealthSnapshot::new(graph, health);
+            let current = crate::par::ordered_map(crate::par::worker_threads(), &touched, |&i| {
+                index.pair_flow(&health, pairs[i].src, pairs[i].dst)
             });
-            if touched {
-                TorPairCapacity {
-                    current_mbps: pair_flow(graph, health, p.src, p.dst, layered),
-                    ..p.clone()
-                }
-            } else {
-                p.clone()
+            for (i, current_mbps) in touched.into_iter().zip(current) {
+                pairs[i].current_mbps = current_mbps;
             }
-        });
+        }
         CapacityReport { pairs }
     }
 }
@@ -367,7 +329,7 @@ mod tests {
 
         let mut touched = HashSet::new();
         touched.insert((dc.clone(), 3u32));
-        let inc = base.evaluate_incremental(&g, &h, &touched);
+        let inc = base.evaluate_incremental(&g, &FlowIndex::new(&g), &h, &touched);
         let full = evaluate(&g, &h, &pairs);
         for (a, b) in inc.pairs.iter().zip(full.pairs.iter()) {
             assert!((a.current_mbps - b.current_mbps).abs() < 1.0);

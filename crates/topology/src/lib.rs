@@ -29,6 +29,6 @@ pub mod paths;
 
 pub use builder::{DcnSpec, DeploymentSpec, WanSpec};
 pub use capacity::{CapacityReport, TorPairCapacity};
-pub use flow::max_flow;
+pub use flow::{max_flow, FlowIndex, HealthSnapshot};
 pub use graph::{EdgeId, HealthView, LinkInfo, NetworkGraph, NodeId, NodeInfo};
 pub use paths::k_shortest_paths;

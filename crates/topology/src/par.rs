@@ -7,8 +7,18 @@
 //! boundaries depend only on the item count, each chunk is mapped in
 //! place, and the outputs are concatenated in chunk order. Nothing about
 //! scheduling can leak into the result as long as `f` is pure.
+//!
+//! Spawning and joining scoped threads costs tens of microseconds, more
+//! than a dozen pair solves. A map therefore fans out only when every
+//! worker gets at least [`GRAIN`] items; smaller maps (a checker
+//! candidate's handful of touched pairs) run on the caller's thread.
 
 use std::num::NonZeroUsize;
+
+/// Fewest items a worker is given: below `2 * GRAIN` items a map runs on
+/// the caller's thread, and it never uses more than `items / GRAIN`
+/// workers.
+pub const GRAIN: usize = 64;
 
 /// The process-wide worker-thread count for pure parallel stages:
 /// `STATESMAN_WORKER_THREADS` when set to a positive integer, else the
@@ -26,17 +36,17 @@ pub fn worker_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Map `f` over `items` on up to `threads` scoped workers, returning
-/// results in item order. `f` must be pure for the output to be
-/// independent of the thread count (that independence is this function's
-/// whole contract).
+/// Map `f` over `items` on up to `threads` scoped workers (at most one
+/// per [`GRAIN`] items), returning results in item order. `f` must be
+/// pure for the output to be independent of the thread count (that
+/// independence is this function's whole contract).
 pub fn ordered_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let workers = threads.max(1).min(items.len());
+    let workers = threads.min(items.len() / GRAIN);
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -71,6 +81,17 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn small_maps_stay_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items = vec![0u8; 2 * GRAIN - 1];
+        let ids = ordered_map(8, &items, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        let items = vec![0u8; 2 * GRAIN];
+        let ids = ordered_map(8, &items, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id != caller));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! [`VarId`]-keyed rows, mutated via small deltas" — FlexState's case for
 //! matching state layout to access pattern applies directly. This module
 //! is the layout: one [`Column`] per pool, a dense `Vec` of slots indexed
-//! by the process-wide [`SlotId`](crate::intern::SlotId) space
+//! by the process-wide [`SlotId`] space
 //! (append-only, never reused), row payloads packed contiguously in a
 //! chunked [`RowArena`], tombstone deletes that clear an occupancy bit
 //! without reclaiming the slot, and a bitmap-driven iterator so full scans
@@ -117,7 +117,7 @@ fn row_heap_bytes(row: &NetworkState) -> usize {
 /// [`RowArena`], with an occupancy bitmap for fast live-row iteration.
 ///
 /// Slot ids come from the process-wide
-/// [`slot_registry`](crate::intern::slot_registry), so every column (and
+/// [`slot_registry`], so every column (and
 /// every columnar mirror in the control loop) agrees on row addressing.
 /// Deletes are tombstones: the occupancy bit clears, the slot and its
 /// arena row are never reclaimed, and a re-inserted variable lands back
